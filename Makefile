@@ -9,11 +9,15 @@
 #                  Worker SIGKILLs one of three -auto-resume workers and
 #                  requires the shrunken resume to reproduce the golden tail
 #                  bitwise — both skipping on platforms without Unix
-#                  sockets), the race detector over the pool-parallel and
+#                  sockets), the benchmark driver's tests (make benchtest),
+#                  the race detector over the pool-parallel and
 #                  sharded packages (the -short shard lane races the
 #                  RunRecovered shrink-and-resume driver too), the coverage
 #                  floor, a short fuzz smoke (FuzzReadHandshake covers the
 #                  generation-tagged wire handshake), and the docs gate
+#   make benchtest - the benchmark driver's own tests (mlmdbench/ is a
+#                  module of its own, so `go test ./...` at the root never
+#                  reaches its wrapper-fidelity and estimator tests)
 #   make lint    - run cmd/mlmdlint (the internal/lint analyzer suite:
 #                  noalloc, detrange, poolonly, ascendsum, wiresafe) over
 #                  ./... and fail on any finding; docs/lint.md documents the
@@ -100,9 +104,9 @@ FUZZ_TIME   ?= 10s
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint
 
-.PHONY: check fmt vet lint build test race race-full cover fuzz docs bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
+.PHONY: check fmt vet lint build test benchtest race race-full cover fuzz docs bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
 
-check: fmt vet lint build test race cover fuzz docs
+check: fmt vet lint build test benchtest race cover fuzz docs
 
 # Static enforcement: the internal/lint analyzer suite over the whole tree.
 # Deliberately-violating analyzer fixtures live under internal/lint/testdata,
@@ -127,6 +131,9 @@ build:
 
 test:
 	$(GO) test ./...
+
+benchtest:
+	cd mlmdbench && $(GO) test ./...
 
 race:
 	$(GO) test -race $(PAR_PKGS)

@@ -96,18 +96,19 @@ func SetEvalDefaults(mode EvalMode, block int) {
 }
 
 // evalDefaults resolves the mode/block NewModel applies: SetEvalDefaults
-// if called, else MLMD_ALLEGRO_BLOCK (ignored when malformed), else the
-// per-atom seed behaviour.
-func evalDefaults() (EvalMode, int) {
+// if called, else MLMD_ALLEGRO_BLOCK, else the per-atom seed behaviour. A
+// malformed MLMD_ALLEGRO_BLOCK is an error naming the variable and its
+// value, never a silent fallback.
+func evalDefaults() (EvalMode, int, error) {
 	if evalDefaultsSet {
-		return evalDefaultMode, evalDefaultBlock
+		return evalDefaultMode, evalDefaultBlock, nil
 	}
-	if s := os.Getenv("MLMD_ALLEGRO_BLOCK"); s != "" {
-		if mode, block, err := ParseBlockSpec(s); err == nil {
-			return mode, block
-		}
+	s := os.Getenv("MLMD_ALLEGRO_BLOCK")
+	mode, block, err := ParseBlockSpec(s)
+	if err != nil {
+		return EvalPerAtom, 0, fmt.Errorf("allegro: MLMD_ALLEGRO_BLOCK=%q: %w", s, err)
 	}
-	return EvalPerAtom, 0
+	return mode, block, nil
 }
 
 // BlockEval is the reusable scratch of the blocked per-species inference

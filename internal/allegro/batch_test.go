@@ -1,7 +1,9 @@
 package allegro
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mlmd/internal/md"
@@ -223,5 +225,48 @@ func TestSetEvalDefaults(t *testing.T) {
 	}
 	if m2.Mode != EvalBatchedMixed || m2.BlockSize != 12 {
 		t.Errorf("env defaults = %v,%d want batched-mixed,12", m2.Mode, m2.BlockSize)
+	}
+}
+
+// TestNewModelEvalSpecFromEnv: NewModel applies a well-formed
+// MLMD_ALLEGRO_BLOCK and fails on a malformed one with an error naming the
+// variable and the value (no silent per-atom fallback).
+func TestNewModelEvalSpecFromEnv(t *testing.T) {
+	evalDefaultsSet = false
+	for _, tc := range []struct {
+		spec  string
+		mode  EvalMode
+		block int
+		bad   bool
+	}{
+		{spec: "", mode: EvalPerAtom},
+		{spec: "off", mode: EvalPerAtom},
+		{spec: "0", mode: EvalPerAtom},
+		{spec: " Batched ", mode: EvalBatched, block: DefaultBatchBlock},
+		{spec: "16", mode: EvalBatched, block: 16},
+		{spec: "mixed:8", mode: EvalBatchedMixed, block: 8},
+		{spec: "sixteen", bad: true},
+		{spec: "-4", bad: true},
+		{spec: "1.5", bad: true},
+		{spec: "mixed:0", bad: true},
+		{spec: "mixed:x", bad: true},
+	} {
+		t.Setenv("MLMD_ALLEGRO_BLOCK", tc.spec)
+		m, err := NewModel(testSpec(), []int{4}, 1)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("MLMD_ALLEGRO_BLOCK=%q: NewModel succeeded (mode %v), want an error", tc.spec, m.Mode)
+			} else if msg := err.Error(); !strings.Contains(msg, "MLMD_ALLEGRO_BLOCK") || !strings.Contains(msg, fmt.Sprintf("%q", tc.spec)) {
+				t.Errorf("MLMD_ALLEGRO_BLOCK=%q: error %q does not name the variable and value", tc.spec, msg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("MLMD_ALLEGRO_BLOCK=%q: %v", tc.spec, err)
+			continue
+		}
+		if m.Mode != tc.mode || m.BlockSize != tc.block {
+			t.Errorf("MLMD_ALLEGRO_BLOCK=%q: got %v,%d want %v,%d", tc.spec, m.Mode, m.BlockSize, tc.mode, tc.block)
+		}
 	}
 }

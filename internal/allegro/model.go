@@ -77,12 +77,17 @@ type inferState struct {
 }
 
 // NewModel builds a model with hidden layer sizes hidden for every species.
+// Unless SetEvalDefaults has been called, the inference mode comes from
+// MLMD_ALLEGRO_BLOCK, and a malformed value there is an error.
 func NewModel(spec DescriptorSpec, hidden []int, seed int64) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{Spec: spec, PerSpeciesShift: make([]float64, spec.NSpecies)}
-	m.Mode, m.BlockSize = evalDefaults()
+	mode, block, err := evalDefaults()
+	if err != nil {
+		return nil, err
+	}
+	m := &Model{Spec: spec, PerSpeciesShift: make([]float64, spec.NSpecies), Mode: mode, BlockSize: block}
 	sizes := append([]int{spec.Dim()}, hidden...)
 	sizes = append(sizes, 1)
 	for sp := 0; sp < spec.NSpecies; sp++ {

@@ -27,7 +27,10 @@ type BatchTape struct {
 	// in[l] is the rows×Sizes[l] input block of layer l; in[0] is the
 	// gathered network input.
 	in [][]float64
-	// pre[l] is the rows×Sizes[l+1] pre-activation block of layer l.
+	// pre[l] is the rows×Sizes[l+1] pre-activation block of layer l (the
+	// GEMM's output). Once a hidden layer is activated its block is
+	// overwritten with act'(pre), so BackwardBatch does not re-evaluate
+	// the nonlinearity.
 	pre [][]float64
 	// out is the rows×Sizes[last] output block.
 	out []float64
@@ -128,8 +131,7 @@ func (m *MLP) ForwardBatch(t *BatchTape) {
 		} else {
 			dst := t.in[l+1][:rows*out]
 			for i, v := range pre {
-				y, _ := actFn(m.Act, v)
-				dst[i] = y
+				dst[i], pre[i] = actFn(m.Act, v)
 			}
 		}
 	}
@@ -149,10 +151,11 @@ func (m *MLP) ForwardBatchInto(x []float64, rows int, t *BatchTape) *BatchTape {
 // BackwardBatch propagates the output cotangent block gOut (t.rows×outDim,
 // row-major) through the taped blocked forward pass, writing the input
 // gradients into dst (t.rows×Sizes[0], returned). Hidden deltas are scaled
-// elementwise by the activation derivative and each layer's input gradient
-// is one GEMM64 against the untransposed weights, reproducing BackwardInto
-// row by row bitwise. Weight gradients are not accumulated — the blocked
-// path is inference-only (training keeps the per-row tapes).
+// elementwise by the activation derivative taped by ForwardBatch and each
+// layer's input gradient is one GEMM64 against the untransposed weights,
+// reproducing BackwardInto row by row bitwise. Weight gradients are not
+// accumulated — the blocked path is inference-only (training keeps the
+// per-row tapes).
 //
 //mlmd:hotpath
 func (m *MLP) BackwardBatch(t *BatchTape, gOut, dst []float64) []float64 {
@@ -170,9 +173,8 @@ func (m *MLP) BackwardBatch(t *BatchTape, gOut, dst []float64) []float64 {
 	for l := len(m.W) - 1; l >= 0; l-- {
 		in, out := m.Sizes[l], m.Sizes[l+1]
 		if l < len(m.W)-1 {
-			pre := t.pre[l][:rows*out]
-			for i, v := range pre {
-				_, d := actFn(m.Act, v)
+			dact := t.pre[l][:rows*out]
+			for i, d := range dact {
 				delta[i] *= d
 			}
 		}

@@ -215,10 +215,11 @@ func TestMixedBatchTracksFloat64(t *testing.T) {
 	}
 }
 
-// FuzzBatchedMLP cross-checks the blocked kernels against the per-row
-// reference on fuzzed shapes, weights and inputs (bitwise). Weights and
-// inputs are derived from the fuzz bytes as small dyadic rationals, which
-// keeps them finite and excludes the out-of-contract −0 weight case.
+// FuzzBatchedMLP cross-checks three paths on fuzzed shapes, weights and
+// inputs, bitwise: the scalar reference, the per-row tapes, and the blocked
+// kernels. Weights and inputs are derived from the fuzz bytes as small
+// dyadic rationals, which keeps them finite and excludes the
+// out-of-contract −0 weight case.
 func FuzzBatchedMLP(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{4, 1, 2, 2, 200, 100, 0, 0, 0, 50, 25, 12, 255, 254, 253, 1, 2, 3})
@@ -259,6 +260,17 @@ func FuzzBatchedMLP(f *testing.F) {
 		gOut := make([]float64, rows*outDim)
 		fill(gOut)
 		refOut, refGrad := perRowReference(m, x, rows, gOut)
+		scalarOut, scalarGrad := scalarReference(m, x, rows, gOut)
+		for i := range refOut {
+			if math.Float64bits(refOut[i]) != math.Float64bits(scalarOut[i]) {
+				t.Fatalf("sizes %v act %v rows %d: per-row output[%d] %v != scalar %v", sizes, act, rows, i, refOut[i], scalarOut[i])
+			}
+		}
+		for i := range refGrad {
+			if math.Float64bits(refGrad[i]) != math.Float64bits(scalarGrad[i]) {
+				t.Fatalf("sizes %v act %v rows %d: per-row grad[%d] %v != scalar %v", sizes, act, rows, i, refGrad[i], scalarGrad[i])
+			}
+		}
 		var bt BatchTape
 		m.ForwardBatchInto(x, rows, &bt)
 		grad := make([]float64, rows*in)

@@ -22,7 +22,8 @@ type MixedBatch struct {
 	// w32[l]/b32[l] are the float32 copies of W[l]/B[l]; wT32[l] is the
 	// transpose of w32[l] for the forward product.
 	w32, wT32, b32 [][]float32
-	// in[l]/pre[l] are the rows×width activation blocks; out is the
+	// in[l]/pre[l] are the rows×width activation blocks (a hidden layer's
+	// pre[l] holds act'(pre-activation) once activated); out is the
 	// rows×outDim output block.
 	in, pre [][]float32
 	out     []float32
@@ -121,8 +122,8 @@ func (m *MLP) ForwardBatchMixed(mode precision.Mode, x []float64, rows int, t *M
 		} else {
 			dst := t.in[l+1][:rows*out]
 			for i, v := range pre {
-				y, _ := actFn(m.Act, float64(v))
-				dst[i] = float32(y)
+				y, d := actFn(m.Act, float64(v))
+				dst[i], pre[i] = float32(y), float32(d)
 			}
 		}
 	}
@@ -146,10 +147,9 @@ func (m *MLP) BackwardBatchMixed(mode precision.Mode, t *MixedBatch, dst []float
 	for l := len(m.W) - 1; l >= 0; l-- {
 		in, out := m.Sizes[l], m.Sizes[l+1]
 		if l < len(m.W)-1 {
-			pre := t.pre[l][:rows*out]
-			for i, v := range pre {
-				_, d := actFn(m.Act, float64(v))
-				delta[i] *= float32(d)
+			dact := t.pre[l][:rows*out]
+			for i, d := range dact {
+				delta[i] *= d
 			}
 		}
 		next := spare[:rows*in]

@@ -81,44 +81,10 @@ func (m *MLP) NumWeights() int {
 	return n
 }
 
-// Forward evaluates the network on x, returning the output vector.
+// Forward evaluates the network on x, returning the output vector (a fresh
+// slice; the arithmetic is ForwardTapeInto's).
 func (m *MLP) Forward(x []float64) []float64 {
-	cur := append([]float64(nil), x...)
-	for l := range m.W {
-		cur = m.layerForward(l, cur, nil, nil)
-	}
-	return cur
-}
-
-// layerForward computes act(W x + b); if preAct/postAct are non-nil they
-// receive the pre- and post-activation values for backprop.
-func (m *MLP) layerForward(l int, x []float64, preAct, postAct []float64) []float64 {
-	in, out := m.Sizes[l], m.Sizes[l+1]
-	if len(x) != in {
-		panic(fmt.Sprintf("nn: layer %d input length %d != %d", l, len(x), in))
-	}
-	res := make([]float64, out)
-	last := l == len(m.W)-1
-	for o := 0; o < out; o++ {
-		sum := m.B[l][o]
-		row := m.W[l][o*in : (o+1)*in]
-		for i, v := range x {
-			sum += row[i] * v
-		}
-		if preAct != nil {
-			preAct[o] = sum
-		}
-		if last {
-			res[o] = sum
-		} else {
-			y, _ := actFn(m.Act, sum)
-			res[o] = y
-		}
-		if postAct != nil {
-			postAct[o] = res[o]
-		}
-	}
-	return res
+	return m.ForwardTape(x).out
 }
 
 // Tape holds the per-layer activations of one forward pass for backprop.
@@ -127,8 +93,12 @@ func (m *MLP) layerForward(l int, x []float64, preAct, postAct []float64) []floa
 // sharded Allegro run) allocates nothing.
 type Tape struct {
 	inputs [][]float64 // inputs[l] is the input to layer l
-	pre    [][]float64 // pre-activations of layer l
-	out    []float64
+	// dact[l] holds act'(pre-activation) of hidden layer l, computed with
+	// the activation itself so the backward pass does not re-evaluate the
+	// nonlinearity (one exp per SiLU unit per forward+backward). The
+	// linear output layer's entry is empty.
+	dact [][]float64
+	out  []float64
 	// d0/d1 are the ping-pong delta buffers of BackwardInto.
 	d0, d1 []float64
 }
@@ -158,54 +128,68 @@ func (m *MLP) ForwardTapeInto(x []float64, t *Tape) *Tape {
 	layers := len(m.W)
 	if len(t.inputs) != layers {
 		t.inputs = make([][]float64, layers)
-		t.pre = make([][]float64, layers)
+		t.dact = make([][]float64, layers)
 	}
 	for l := 0; l < layers; l++ {
-		in, out := m.Sizes[l], m.Sizes[l+1]
-		if len(t.inputs[l]) != in {
+		if in := m.Sizes[l]; len(t.inputs[l]) != in {
 			t.inputs[l] = make([]float64, in)
 		}
-		if len(t.pre[l]) != out {
-			t.pre[l] = make([]float64, out)
+		if out := m.Sizes[l+1]; l < layers-1 && len(t.dact[l]) != out {
+			t.dact[l] = make([]float64, out)
 		}
 	}
 	if n := m.Sizes[layers]; len(t.out) != n {
 		t.out = make([]float64, n)
 	}
 	copy(t.inputs[0], x)
-	for l := 0; l < layers; l++ {
-		dst := t.out
-		if l < layers-1 {
-			dst = t.inputs[l+1]
+	for l := 0; l < layers-1; l++ {
+		dst := t.inputs[l+1]
+		m.affineInto(l, t.inputs[l], dst)
+		dact := t.dact[l][:len(dst)]
+		for o, v := range dst {
+			dst[o], dact[o] = actFn(m.Act, v)
 		}
-		m.layerForwardInto(l, t.inputs[l], t.pre[l], dst)
 	}
+	m.affineInto(layers-1, t.inputs[layers-1], t.out)
 	return t
 }
 
-// layerForwardInto is layerForward writing into a preallocated dst (same
-// arithmetic, no allocation).
+// affineInto writes layer l's pre-activations W[l]·x + B[l] into dst.
+// Rows are swept four at a time over x with one independent accumulator
+// each, so the four add chains overlap instead of stalling on one another;
+// every output still starts from its bias and adds row[i]*x[i] in ascending
+// i, so the bits are those of a one-row-at-a-time dot product (and of the
+// blocked GEMM64 path). Leftover rows take the one-row loop.
 //
 //mlmd:hotpath
-func (m *MLP) layerForwardInto(l int, x, preAct, dst []float64) {
+func (m *MLP) affineInto(l int, x, dst []float64) {
 	in, out := m.Sizes[l], m.Sizes[l+1]
 	if len(x) != in {
 		panic(fmt.Sprintf("nn: layer %d input length %d != %d", l, len(x), in))
 	}
-	last := l == len(m.W)-1
-	for o := 0; o < out; o++ {
-		sum := m.B[l][o]
-		row := m.W[l][o*in : (o+1)*in]
+	w, b := m.W[l], m.B[l]
+	o := 0
+	for ; o+4 <= out; o += 4 {
+		r0 := w[o*in:][:len(x)]
+		r1 := w[(o+1)*in:][:len(x)]
+		r2 := w[(o+2)*in:][:len(x)]
+		r3 := w[(o+3)*in:][:len(x)]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, v := range x {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
+	}
+	for ; o < out; o++ {
+		row := w[o*in:][:len(x)]
+		sum := b[o]
 		for i, v := range x {
 			sum += row[i] * v
 		}
-		preAct[o] = sum
-		if last {
-			dst[o] = sum
-		} else {
-			y, _ := actFn(m.Act, sum)
-			dst[o] = y
-		}
+		dst[o] = sum
 	}
 }
 
@@ -268,11 +252,11 @@ func (m *MLP) BackwardInto(t *Tape, gOut []float64, grads *Grads, dst []float64)
 	for l := len(m.W) - 1; l >= 0; l-- {
 		in, out := m.Sizes[l], m.Sizes[l+1]
 		last := l == len(m.W)-1
-		// δ ← δ ⊙ act'(pre) for hidden layers.
+		// δ ← δ ⊙ act'(pre) for hidden layers, from the taped derivative.
 		if !last {
-			for o := 0; o < out; o++ {
-				_, d := actFn(m.Act, t.pre[l][o])
-				delta[o] *= d
+			dact := t.dact[l][:len(delta)]
+			for o := range delta {
+				delta[o] *= dact[o]
 			}
 		}
 		if grads != nil {
@@ -291,18 +275,46 @@ func (m *MLP) BackwardInto(t *Tape, gOut []float64, grads *Grads, dst []float64)
 		for i := range next {
 			next[i] = 0
 		}
-		for o := 0; o < out; o++ {
-			row := m.W[l][o*in : (o+1)*in]
-			d := delta[o]
-			for i := range row {
-				next[i] += d * row[i]
-			}
-		}
+		m.transposeAccum(l, delta, next)
 		spare = delta[:cap(delta)]
 		delta = next
 	}
 	copy(dst[:m.Sizes[0]], delta)
 	return dst[:m.Sizes[0]]
+}
+
+// transposeAccum adds W[l]ᵀ·delta into next. Four consecutive rows fold
+// into one pass over next, each element adding their terms in ascending
+// row order — the add sequence of one pass per row, so the bits are the
+// same while the passes over next drop fourfold. Leftover rows take the
+// one-row loop.
+//
+//mlmd:hotpath
+func (m *MLP) transposeAccum(l int, delta, next []float64) {
+	in, out := m.Sizes[l], m.Sizes[l+1]
+	w := m.W[l]
+	o := 0
+	for ; o+4 <= out; o += 4 {
+		r0 := w[o*in:][:len(next)]
+		r1 := w[(o+1)*in:][:len(next)]
+		r2 := w[(o+2)*in:][:len(next)]
+		r3 := w[(o+3)*in:][:len(next)]
+		d0, d1, d2, d3 := delta[o], delta[o+1], delta[o+2], delta[o+3]
+		for i, n := range next {
+			n += d0 * r0[i]
+			n += d1 * r1[i]
+			n += d2 * r2[i]
+			n += d3 * r3[i]
+			next[i] = n
+		}
+	}
+	for ; o < out; o++ {
+		row := w[o*in:][:len(next)]
+		d := delta[o]
+		for i := range next {
+			next[i] += d * row[i]
+		}
+	}
 }
 
 // InputGradient returns d(out[0])/dx for a scalar-output network — the
