@@ -50,9 +50,6 @@
 #   make bench6  - checkpoint write cost (periodic gather + atomic mlmdio
 #                  files) and unix-vs-tcp multi-process transport overhead,
 #                  written to BENCH_PR6.json
-#   make bench7  - Allegro inference sweep: per-atom tapes vs blocked-GEMM
-#                  batching (bitwise identical) vs GEMMMixed float32, over a
-#                  block-size sweep, written to BENCH_PR7.json
 #   make bench8  - self-healing shrink-and-resume latency (detect to first
 #                  resumed step, one injected rank failure per trial) vs
 #                  checkpoint cadence, written to BENCH_PR8.json
@@ -81,22 +78,21 @@ PAR_PKGS = ./internal/par ./internal/md ./internal/linalg ./internal/allegro \
 	./internal/tddft ./internal/core ./internal/cluster ./internal/maxwell \
 	./internal/shard/halo
 
-# Coverage-gated packages and floor (ISSUE 2 CI contract; ISSUE 3 raised
-# the floor to cover the shard grid/overlap and cluster grid-topology
-# paths; ISSUE 5 added the wire codec; PR 7 added the nn batched-inference
-# tapes; PR 9 added the shape-agnostic halo layer and its grid solvers —
-# current levels: md 97%, mlmdio 90%, cluster 92%, wire 97%, shard 94%,
-# nn 94%, halo 96%, maxwell 89%, tddft 88%).
+# Coverage-gated packages and floor: the MD, IO, cluster, wire and shard
+# layers (shard grid/overlap and cluster grid-topology paths included), the
+# nn inference tapes, the shape-agnostic halo layer with its grid solvers,
+# and the lint suite — current levels: md 97%, mlmdio 89%, cluster 90%,
+# wire 95%, shard 90%, nn 96%, halo 96%, maxwell 89%, tddft 88%, lint 88%.
 COVER_PKGS = ./internal/md ./internal/mlmdio ./internal/cluster ./internal/cluster/wire ./internal/shard ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/lint
 COVER_MIN  = 85
 
 # Deserializers and frame decoders under native fuzzing, per package, plus
-# the blocked-vs-per-row MLP equivalence harness (PR 7: batched inference
-# must match the per-atom tapes bitwise on arbitrary shapes and inputs).
+# the per-row MLP tape harness (the tapes must match the scalar reference
+# bitwise on arbitrary shapes and inputs).
 FUZZ_TARGETS      = FuzzReadXYZ FuzzLoadSystem FuzzLoadModel FuzzLoadWaveField FuzzLoadCheckpoint
 WIRE_FUZZ_TARGETS = FuzzReadData FuzzReadHandshake
-NN_FUZZ_TARGETS   = FuzzBatchedMLP
+NN_FUZZ_TARGETS   = FuzzTapeMLP
 HALO_FUZZ_TARGETS = FuzzFieldPackUnpack
 FUZZ_TIME   ?= 10s
 
@@ -104,7 +100,7 @@ FUZZ_TIME   ?= 10s
 DOC_PKGS = ./internal/shard ./internal/cluster ./internal/cluster/wire ./internal/par ./internal/allegro ./internal/nn \
 	./internal/shard/halo ./internal/maxwell ./internal/tddft ./internal/multigrid ./internal/lint
 
-.PHONY: check fmt vet lint build test benchtest race race-full cover fuzz docs bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench9 tables
+.PHONY: check fmt vet lint build test benchtest race race-full cover fuzz docs bench bench2 bench3 bench4 bench5 bench6 bench8 bench9 tables
 
 check: fmt vet lint build test benchtest race cover fuzz docs
 
@@ -194,9 +190,6 @@ bench5:
 
 bench6:
 	$(GO) run ./cmd/bench-scaling -fault -shardjson > BENCH_PR6.json
-
-bench7:
-	$(GO) run ./cmd/bench-scaling -batched -shardjson > BENCH_PR7.json
 
 bench8:
 	$(GO) run ./cmd/bench-scaling -recover -shardjson > BENCH_PR8.json

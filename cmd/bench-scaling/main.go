@@ -60,9 +60,6 @@ func main() {
 	stencilFlag := flag.Bool("stencil", false, "sharded FDTD stencil scaling on the grid engine (1x1x1 ... 2x2x2, best of 5) with measured halo bytes/step")
 	stencilCells := flag.Int("stencilcells", 24, "Yee cells per axis of the -stencil FDTD box")
 	stencilSteps := flag.Int("stencilsteps", 100, "FDTD steps per -stencil trial")
-	batchedFlag := flag.Bool("batched", false, "Allegro per-atom vs blocked-GEMM vs mixed-precision inference sweep (best of 5)")
-	batchedAtoms := flag.Int("batchedatoms", 512, "atoms of the -batched inference gas")
-	batchedSteps := flag.Int("batchedsteps", 60, "MD steps per -batched trial")
 	balanceFlag := flag.Bool("balance", false, "enable dynamic boundary balancing in the -shard/-grid sweeps")
 	shardJSON := flag.Bool("shardjson", false, "with -shard/-grid/-hotspot/-procs/-fault: emit the JSON document (BENCH_PR2/3/4/5/6.json) instead of the table")
 	shardCells := flag.Int("shardcells", 11, "fcc cells per axis of the -shard/-grid/-hotspot/-procs system (atoms = 4·cells³ before hot-spot thinning; needs cells >= 11 so the 8-rank slab still fits the halo)")
@@ -85,13 +82,13 @@ func main() {
 		return
 	}
 	exclusive := 0
-	for _, f := range []bool{*shardFlag, *gridFlag, *hotspotFlag, *procsFlag, *faultFlag, *recoverFlag, *batchedFlag, *stencilFlag} {
+	for _, f := range []bool{*shardFlag, *gridFlag, *hotspotFlag, *procsFlag, *faultFlag, *recoverFlag, *stencilFlag} {
 		if f {
 			exclusive++
 		}
 	}
 	if exclusive > 1 {
-		fmt.Fprintln(os.Stderr, "bench-scaling: -shard, -grid, -hotspot, -procs, -fault, -recover, -batched and -stencil are mutually exclusive (each emits its own JSON document)")
+		fmt.Fprintln(os.Stderr, "bench-scaling: -shard, -grid, -hotspot, -procs, -fault, -recover and -stencil are mutually exclusive (each emits its own JSON document)")
 		os.Exit(2)
 	}
 	all := !*t1 && !*t2 && !*f4a && !*f4b && !*f5a && !*f5b && !*legato && exclusive == 0
@@ -102,14 +99,6 @@ func main() {
 			os.Exit(1)
 		}
 		emit(bench.StencilTable(points), bench.StencilDocument(points), *shardJSON)
-	}
-	if *batchedFlag {
-		points, err := bench.BatchedInference(*batchedAtoms, *batchedSteps)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench-scaling:", err)
-			os.Exit(1)
-		}
-		emit(bench.BatchedTable(points), bench.BatchedDocument(points), *shardJSON)
 	}
 
 	if *t1 || all {

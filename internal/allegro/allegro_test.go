@@ -22,6 +22,18 @@ func smallLattice(t testing.TB) (*md.System, *ferro.Lattice, *ferro.EffectiveHam
 	return sys, lat, ferro.DefaultEffHam(lat)
 }
 
+// distortedLattice returns a small perovskite lattice with every cell's
+// soft mode displaced so forces are nonzero and atom environments differ.
+func distortedLattice(t testing.TB) *md.System {
+	t.Helper()
+	sys, lat, _ := smallLattice(t)
+	for c := 0; c < lat.NumCells(); c++ {
+		fc := float64(c)
+		lat.SetSoftMode(sys, c, 0.02*math.Sin(fc+1), 0.015*math.Cos(fc), 0.03*math.Sin(2*fc))
+	}
+	return sys
+}
+
 func TestSpecValidation(t *testing.T) {
 	if (DescriptorSpec{Cutoff: -1, NRadial: 4, NSpecies: 2}).Validate() == nil {
 		t.Error("negative cutoff accepted")

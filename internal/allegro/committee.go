@@ -15,7 +15,6 @@ import (
 type Committee struct {
 	Members []*Model
 	fBuf    [][]float64
-	es      []float64
 	dBuf    []float64
 }
 
@@ -49,73 +48,22 @@ func (c *Committee) Train(template *md.System, samples []Sample, cfg TrainConfig
 	return nil
 }
 
-// ComputeForces implements md.ForceField with the committee mean. When
-// member 0 runs a batched eval mode, the neighbor environments and
-// descriptor rows are gathered once and every member's MLPs are driven over
-// the shared gather (descriptors depend only on the geometry, not the
-// weights) — each member's forces and energy stay bitwise identical to that
-// member's standalone batched ComputeForces, because the block loop, part
-// partition, and merge order are the same code with only the weights
-// swapped. Under EvalPerAtom the committee falls back to per-member
-// evaluation.
+// ComputeForces implements md.ForceField with the committee mean: each
+// member evaluates the system in turn, and the mean energy and forces are
+// reduced in member order.
 func (c *Committee) ComputeForces(sys *md.System) float64 {
 	if len(c.fBuf) != len(c.Members) {
 		c.fBuf = make([][]float64, len(c.Members))
 	}
 	n := float64(len(c.Members))
-	m0 := c.Members[0]
-	if m0.Mode == EvalPerAtom {
-		var eMean float64
-		for k, m := range c.Members {
-			e := m.ComputeForces(sys)
-			eMean += e
-			if len(c.fBuf[k]) != len(sys.F) {
-				c.fBuf[k] = make([]float64, len(sys.F))
-			}
-			copy(c.fBuf[k], sys.F)
-		}
-		eMean /= n
-		for i := range sys.F {
-			var sum float64
-			for k := range c.Members {
-				sum += c.fBuf[k][i]
-			}
-			sys.F[i] = sum / n
-		}
-		return eMean
-	}
-	// Shared-gather batched path: member 0 owns the neighbor list and the
-	// per-part gather scratch; members k>0 reuse it (gathered=true).
-	m0.ensureNeighbors(sys)
-	if len(c.es) != len(c.Members) {
-		c.es = make([]float64, len(c.Members))
-	}
-	for k := range c.Members {
-		c.es[k] = 0
+	var eMean float64
+	for k, m := range c.Members {
+		e := m.ComputeForces(sys)
+		eMean += e
 		if len(c.fBuf[k]) != len(sys.F) {
 			c.fBuf[k] = make([]float64, len(sys.F))
 		}
-		buf := c.fBuf[k]
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
-	block := m0.BlockSize
-	if block <= 0 || block > sys.N {
-		block = sys.N
-	}
-	for lo := 0; lo < sys.N; lo += block {
-		hi := lo + block
-		if hi > sys.N {
-			hi = sys.N
-		}
-		for k, mk := range c.Members {
-			c.es[k] += m0.forceBlockBatched(sys, mk, c.fBuf[k], lo, hi, k > 0)
-		}
-	}
-	var eMean float64
-	for _, e := range c.es {
-		eMean += e
+		copy(c.fBuf[k], sys.F)
 	}
 	eMean /= n
 	for i := range sys.F {

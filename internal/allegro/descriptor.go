@@ -157,43 +157,11 @@ func (d DescriptorSpec) descriptorInto(sys *md.System, env neighborEnv, out, cs,
 	}
 }
 
-// DescriptorGrad accumulates dE/dx for all atoms given dE/dD of atom i
+// descriptorGradPre accumulates dE/dx for all atoms given dE/dD of atom i
 // (gD, length Dim) and the cached environment, using the chain rule through
-// the descriptor. Forces are F = −dE/dx; the caller negates.
-func (d DescriptorSpec) DescriptorGrad(sys *md.System, env neighborEnv, i int, gD []float64, dEdx []float64) {
-	d.descriptorGradInto(sys, env, i, gD, dEdx, d.centers(), make([]float64, d.NSpecies*d.NRadial*3))
-}
-
-// descriptorGradInto is DescriptorGrad with caller-provided scratch.
-func (d DescriptorSpec) descriptorGradInto(sys *md.System, env neighborEnv, i int, gD, dEdx, cs, vec []float64) {
-	w := d.width()
-	nr := d.NRadial
-	// Recompute the vector accumulators (needed for the vector² chain).
-	for k := range vec {
-		vec[k] = 0
-	}
-	for n := range env.j {
-		sp := sys.Type[env.j[n]]
-		r := env.r[n]
-		fc, _ := cutoffFn(r, d.Cutoff)
-		ux, uy, uz := env.dx[n]/r, env.dy[n]/r, env.dz[n]/r
-		for k := 0; k < nr; k++ {
-			g := math.Exp(-(r - cs[k]) * (r - cs[k]) / (2 * w * w))
-			base := sp*nr + k
-			vec[base*3] += g * fc * ux
-			vec[base*3+1] += g * fc * uy
-			vec[base*3+2] += g * fc * uz
-		}
-	}
-	d.descriptorGradPre(sys, env, i, gD, dEdx, cs, vec)
-}
-
-// descriptorGradPre is the scatter half of descriptorGradInto for callers
-// that already hold atom i's vector accumulators: vec must be exactly what
-// descriptorInto filled for the same environment (the recomputation above
-// runs the identical loop, so a stored vec is bitwise equal to a recomputed
-// one). The batched evaluation path stores vec at gather time and calls
-// this directly, skipping the duplicate exponentials.
+// the descriptor. vec must be exactly what descriptorInto filled for the
+// same environment (the vector accumulators the vector² chain needs).
+// Forces are F = −dE/dx; the caller negates.
 //
 //mlmd:hotpath
 func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int, gD, dEdx, cs, vec []float64) {
@@ -218,7 +186,7 @@ func (d DescriptorSpec) descriptorGradPre(sys *md.System, env neighborEnv, i int
 // chain rule, the same G enters the center's own gradient with a minus sign.
 //
 // This is the single source of the pair-term arithmetic: both the global
-// scatter path (DescriptorGrad) and the sharded canonical assembly
+// scatter path (descriptorGradPre) and the sharded canonical assembly
 // (internal/shard's Allegro adapter) call it, so a force summed from
 // PairGradTerm values in a fixed order is bitwise reproducible across
 // decompositions.

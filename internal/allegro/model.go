@@ -7,7 +7,6 @@ import (
 	"mlmd/internal/md"
 	"mlmd/internal/nn"
 	"mlmd/internal/par"
-	"mlmd/internal/precision"
 )
 
 // Model is the Allegro-style force field: one MLP per species mapping the
@@ -28,14 +27,6 @@ type Model struct {
 	// BlockSize caps how many atoms are evaluated per inference batch
 	// (block model inference, Sec. V.B.9). 0 means no blocking.
 	BlockSize int
-	// Mode selects the inference implementation: per-atom tapes (the
-	// seed path), blocked GEMM64 batching (bitwise identical), or the
-	// GEMMMixed float32 variant. NewModel applies the package defaults
-	// (SetEvalDefaults / MLMD_ALLEGRO_BLOCK).
-	Mode EvalMode
-	// MixedMode is the precision.GEMMMixed compute mode used when Mode
-	// is EvalBatchedMixed (the zero value is FP32).
-	MixedMode precision.Mode
 	// nl (with its full-list CSR) is rebuilt on demand.
 	nl *md.NeighborList
 	// Per-worker inference scratch for the pool-parallel force path.
@@ -46,16 +37,6 @@ type Model struct {
 		span, parts int
 	}
 	forceFn func(lo, hi, w int)
-	// Per-part scratch and closure of the batched force path (batch.go).
-	bscratch *par.Scratch[batchState]
-	bctx     struct {
-		sys         *md.System
-		net         *Model
-		base        int
-		span, parts int
-		gathered    bool
-	}
-	batchFn func(lo, hi, w int)
 }
 
 // inferState is one worker's reusable inference scratch: the neighbor
@@ -77,17 +58,11 @@ type inferState struct {
 }
 
 // NewModel builds a model with hidden layer sizes hidden for every species.
-// Unless SetEvalDefaults has been called, the inference mode comes from
-// MLMD_ALLEGRO_BLOCK, and a malformed value there is an error.
 func NewModel(spec DescriptorSpec, hidden []int, seed int64) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	mode, block, err := evalDefaults()
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{Spec: spec, PerSpeciesShift: make([]float64, spec.NSpecies), Mode: mode, BlockSize: block}
+	m := &Model{Spec: spec, PerSpeciesShift: make([]float64, spec.NSpecies)}
 	sizes := append([]int{spec.Dim()}, hidden...)
 	sizes = append(sizes, 1)
 	for sp := 0; sp < spec.NSpecies; sp++ {
@@ -175,11 +150,7 @@ func (m *Model) ComputeForcesOwned(sys *md.System, nOwned int) float64 {
 		if hi > nOwned {
 			hi = nOwned
 		}
-		if m.Mode == EvalPerAtom {
-			energy += m.forceBlock(sys, lo, hi)
-		} else {
-			energy += m.forceBlockBatched(sys, m, sys.F, lo, hi, false)
-		}
+		energy += m.forceBlock(sys, lo, hi)
 	}
 	return energy
 }
@@ -221,6 +192,30 @@ func (m *Model) EvalAtom(sys *md.System, i int, cand []int32, cs []float64, scr 
 	return tape.Out() + m.PerSpeciesShift[sp]
 }
 
+// GatherAtom is the descriptor half of EvalAtom: it builds atom i's
+// environment from the candidate neighbor list cand (skipping candidates at
+// or beyond the cutoff, in the caller's order) and fills desc (length Dim)
+// and vec (length NSpecies·NRadial·3). cs must be Spec.Centers().
+//
+//mlmd:hotpath
+func (m *Model) GatherAtom(sys *md.System, i int, cand []int32, cs []float64, scr *EvalScratch, desc, vec []float64) {
+	scr.env.reset()
+	for _, j32 := range cand {
+		j := int(j32)
+		dx, dy, dz := sys.MinImage(j, i) // vector from i to j
+		r := math.Sqrt(dx*dx + dy*dy + dz*dz)
+		if r >= m.Spec.Cutoff || r == 0 {
+			continue
+		}
+		scr.env.j = append(scr.env.j, j)
+		scr.env.dx = append(scr.env.dx, dx)
+		scr.env.dy = append(scr.env.dy, dy)
+		scr.env.dz = append(scr.env.dz, dz)
+		scr.env.r = append(scr.env.r, r)
+	}
+	m.Spec.descriptorInto(sys, scr.env, desc, cs, vec)
+}
+
 // CloneShared returns a new Model sharing this model's (read-only at
 // inference time) weights and per-species shifts, but with private neighbor
 // list and inference scratch, so several goroutines — e.g. the ranks of a
@@ -231,8 +226,6 @@ func (m *Model) CloneShared() *Model {
 		Nets:            m.Nets,
 		PerSpeciesShift: m.PerSpeciesShift,
 		BlockSize:       m.BlockSize,
-		Mode:            m.Mode,
-		MixedMode:       m.MixedMode,
 	}
 	nl, err := md.NewNeighborList(m.Spec.Cutoff, m.nl.Skin)
 	if err != nil {
@@ -282,7 +275,7 @@ func (m *Model) forceBlock(sys *md.System, lo, hi int) float64 {
 				tape := net.ForwardTapeInto(ws.desc, &ws.tape)
 				ws.e += tape.Out() + m.PerSpeciesShift[sp]
 				gD := net.BackwardInto(tape, ws.gOut[:], nil, ws.gD)
-				m.Spec.descriptorGradInto(sys, ws.env, i, gD, ws.dEdx, ws.cs, ws.vec)
+				m.Spec.descriptorGradPre(sys, ws.env, i, gD, ws.dEdx, ws.cs, ws.vec)
 			}
 		}
 	}

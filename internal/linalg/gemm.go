@@ -114,43 +114,6 @@ func gemm64Range(i0, i1, n, k int, alpha float64, a []float64, lda int, b []floa
 	}
 }
 
-// GEMM64Job is a reusable binding of GEMM64 for steady-state hot loops:
-// GEMM64 itself captures its arguments in a fresh pool closure on every
-// call (one heap allocation), which callers under the repo's 0-alloc
-// steady-state contract — e.g. the blocked MLP inference tapes — cannot
-// afford. A zero GEMM64Job is ready to use; Run computes exactly what
-// GEMM64 computes (same range kernel, same chunk grain, so results are
-// bitwise identical), rebinding the one cached closure in place. A job
-// must not be shared by concurrent Run calls.
-type GEMM64Job struct {
-	n, k, lda, ldb, ldc int
-	alpha, beta         float64
-	a, b, c             []float64
-	fn                  func(lo, hi, w int)
-}
-
-// Run is GEMM64 through the job's reused pool closure.
-//
-//mlmd:hotpath
-func (j *GEMM64Job) Run(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	if j.fn == nil {
-		j.fn = func(lo, hi, _ int) {
-			gemm64Range(lo, hi, j.n, j.k, j.alpha, j.a, j.lda, j.b, j.ldb, j.beta, j.c, j.ldc)
-		}
-	}
-	j.n, j.k, j.alpha, j.beta = n, k, alpha, beta
-	j.a, j.b, j.c = a, b, c
-	j.lda, j.ldb, j.ldc = lda, ldb, ldc
-	par.For(m, gemmRowGrain(n, k, 2), j.fn)
-	AddFlops(GEMMFlops(m, n, k))
-}
-
-// GEMM64Parallel is kept for API compatibility: GEMM64 itself now runs on
-// the shared worker pool.
-func GEMM64Parallel(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	GEMM64(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
 // MatVec64 computes y = A x for a dense row-major m×n matrix, sharded over
 // the worker pool by rows.
 //

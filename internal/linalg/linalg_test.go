@@ -142,28 +142,6 @@ func TestGEMM32MatchesFloat64(t *testing.T) {
 	}
 }
 
-func TestGEMM64ParallelMatchesSerial(t *testing.T) {
-	m, n, k := 130, 70, 90
-	rng := rand.New(rand.NewSource(8))
-	a := make([]float64, m*k)
-	b := make([]float64, k*n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	c1 := make([]float64, m*n)
-	c2 := make([]float64, m*n)
-	GEMM64(m, n, k, 1.5, a, k, b, n, 0, c1, n)
-	GEMM64Parallel(m, n, k, 1.5, a, k, b, n, 0, c2, n)
-	for i := range c1 {
-		if math.Abs(c1[i]-c2[i]) > 1e-9 {
-			t.Fatalf("parallel mismatch at %d", i)
-		}
-	}
-}
-
 func TestFlopLedger(t *testing.T) {
 	ResetFlops()
 	n := 16

@@ -29,9 +29,9 @@ var hotpathPkgs = map[string]bool{
 var requiredHotpaths = map[string][]string{
 	"mlmd/internal/par":    {"For", "stealJob", "(*job).loop", "(*job).participate", "(*job).runChunk"},
 	"mlmd/internal/linalg": {"GEMM64", "gemm64Range", "GEMM32", "gemm32Range", "MatVec64", "Dot64", "Axpy64", "cgemmAccumRange", "cgemm32AccumRange"},
-	"mlmd/internal/nn":     {"(*MLP).ForwardTapeInto", "(*MLP).affineInto", "(*MLP).BackwardInto", "(*MLP).transposeAccum", "(*MLP).ForwardBatch", "(*MLP).BackwardBatch"},
+	"mlmd/internal/nn":     {"(*MLP).ForwardTapeInto", "(*MLP).affineInto", "(*MLP).BackwardInto", "(*MLP).transposeAccum"},
 	"mlmd/internal/allegro": {
-		"(*Model).EvalBlock", "(*Model).GatherAtom", "(*Model).forceBlockBatched",
+		"(*Model).GatherAtom",
 		"DescriptorSpec.descriptorInto", "DescriptorSpec.descriptorGradPre", "DescriptorSpec.PairGradTerm", "buildEnv",
 	},
 	"mlmd/internal/maxwell": {"(*Field).Step", "(*Sim3D).Step", "(*Sim3D).halfStep", "(*Sim3D).updateE", "(*Sim3D).updateB", "(*Sim3D).applySource", "(*Sim3D).PackField"},

@@ -9,6 +9,7 @@ import (
 	"mlmd/internal/allegro"
 	"mlmd/internal/grid"
 	"mlmd/internal/md"
+	"mlmd/internal/nn"
 )
 
 // Native fuzz targets for the deserialization layer: arbitrary input must
@@ -103,6 +104,14 @@ func FuzzLoadModel(f *testing.F) {
 		if err == nil {
 			if len(m.Nets) != m.Spec.NSpecies || m.Spec.NSpecies < 1 {
 				t.Fatalf("accepted inconsistent model: %d nets for %d species", len(m.Nets), m.Spec.NSpecies)
+			}
+			if m.BlockSize < 0 {
+				t.Fatalf("accepted negative BlockSize %d", m.BlockSize)
+			}
+			for sp, net := range m.Nets {
+				if net.Act != nn.Tanh && net.Act != nn.SiLU && net.Act != nn.Linear {
+					t.Fatalf("accepted unknown activation %d on net %d", net.Act, sp)
+				}
 			}
 		}
 	})

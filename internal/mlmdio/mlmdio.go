@@ -223,6 +223,14 @@ func LoadModel(r io.Reader) (*allegro.Model, error) {
 	if len(cp.Hidden) > maxModelLayers {
 		return nil, fmt.Errorf("mlmdio: implausible depth %d", len(cp.Hidden))
 	}
+	switch nn.Activation(cp.Act) {
+	case nn.Tanh, nn.SiLU, nn.Linear:
+	default:
+		return nil, fmt.Errorf("mlmdio: model Act=%d is not a known activation (Tanh=%d, SiLU=%d, Linear=%d)", cp.Act, nn.Tanh, nn.SiLU, nn.Linear)
+	}
+	if cp.BlockSize < 0 {
+		return nil, fmt.Errorf("mlmdio: model BlockSize=%d must be >= 0 (0 = no blocking)", cp.BlockSize)
+	}
 	spec := allegro.DescriptorSpec{Cutoff: cp.Cutoff, NRadial: cp.NRadial, NSpecies: cp.NSpecies}
 	sizes := append([]int{spec.Dim()}, cp.Hidden...)
 	sizes = append(sizes, 1)

@@ -2,6 +2,7 @@ package mlmdio
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"mlmd/internal/ferro"
 	"mlmd/internal/grid"
 	"mlmd/internal/md"
+	"mlmd/internal/nn"
 )
 
 func TestXYZRoundTrip(t *testing.T) {
@@ -141,6 +143,51 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	}
 	if got.BlockSize != 64 || got.PerSpeciesShift[1] != -0.5 {
 		t.Error("model metadata not preserved")
+	}
+}
+
+// TestLoadModelRejectsBadFields: a checkpoint whose activation code is not
+// one of nn's activations, or whose BlockSize is negative, is refused with
+// an error naming the field and its value — neither may silently run as
+// something else (an unknown activation as Linear, a negative block size as
+// no blocking). In-range values of both fields load.
+func TestLoadModelRejectsBadFields(t *testing.T) {
+	var base modelCheckpoint
+	if err := gob.NewDecoder(bytes.NewReader(validModelCheckpoint(t))).Decode(&base); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		act, block int
+		want       string // "" = accepted
+	}{
+		{act: int(nn.Tanh)},
+		{act: int(nn.SiLU), block: 5},
+		{act: int(nn.Linear)},
+		{act: 7, want: "Act=7"},
+		{act: -1, want: "Act=-1"},
+		{act: int(nn.SiLU), block: -1, want: "BlockSize=-1"},
+		{act: int(nn.SiLU), block: -64, want: "BlockSize=-64"},
+	} {
+		cp := base
+		cp.Act, cp.BlockSize = tc.act, tc.block
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadModel(&buf)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("Act=%d BlockSize=%d: %v", tc.act, tc.block, err)
+			} else if m.Nets[0].Act != nn.Activation(tc.act) || m.BlockSize != tc.block {
+				t.Errorf("Act=%d BlockSize=%d: loaded Act=%d BlockSize=%d", tc.act, tc.block, m.Nets[0].Act, m.BlockSize)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Act=%d BlockSize=%d: checkpoint accepted, want an error naming %s", tc.act, tc.block, tc.want)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Act=%d BlockSize=%d: error %q does not name %s", tc.act, tc.block, err, tc.want)
+		}
 	}
 }
 

@@ -158,8 +158,8 @@ func (m *MLP) ForwardTapeInto(x []float64, t *Tape) *Tape {
 // Rows are swept four at a time over x with one independent accumulator
 // each, so the four add chains overlap instead of stalling on one another;
 // every output still starts from its bias and adds row[i]*x[i] in ascending
-// i, so the bits are those of a one-row-at-a-time dot product (and of the
-// blocked GEMM64 path). Leftover rows take the one-row loop.
+// i, so the bits are those of a one-row-at-a-time dot product. Leftover
+// rows take the one-row loop.
 //
 //mlmd:hotpath
 func (m *MLP) affineInto(l int, x, dst []float64) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -81,7 +82,8 @@ func refBackward(m *MLP, t *refTape, gOut []float64, grads *Grads) []float64 {
 }
 
 // scalarReference runs refForward/refBackward over a rows×in input block
-// with per-row cotangents, like perRowReference does for the tapes.
+// with per-row cotangents, returning outputs (rows×outDim) and input
+// gradients (rows×in).
 func scalarReference(m *MLP, x []float64, rows int, gOut []float64) (outs, grads []float64) {
 	in := m.Sizes[0]
 	outDim := m.Sizes[len(m.Sizes)-1]
@@ -91,6 +93,38 @@ func scalarReference(m *MLP, x []float64, rows int, gOut []float64) (outs, grads
 		grads = append(grads, refBackward(m, t, gOut[r*outDim:(r+1)*outDim], nil)...)
 	}
 	return outs, grads
+}
+
+// perRowReference is scalarReference on the per-row tapes: one reused Tape
+// through ForwardTapeInto/BackwardInto per row.
+func perRowReference(m *MLP, x []float64, rows int, gOut []float64) (outs, grads []float64) {
+	in := m.Sizes[0]
+	outDim := m.Sizes[len(m.Sizes)-1]
+	outs = make([]float64, rows*outDim)
+	grads = make([]float64, rows*in)
+	var t Tape
+	g := make([]float64, in)
+	for r := 0; r < rows; r++ {
+		m.ForwardTapeInto(x[r*in:(r+1)*in], &t)
+		copy(outs[r*outDim:(r+1)*outDim], t.Outputs())
+		m.BackwardInto(&t, gOut[r*outDim:(r+1)*outDim], nil, g)
+		copy(grads[r*in:(r+1)*in], g)
+	}
+	return outs, grads
+}
+
+// assertBitsEqual fails if any element of got differs bitwise from want.
+func assertBitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v (bits %x) != %v (bits %x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
 }
 
 // TestTapeBitwiseMatchesScalarReference is the oracle of the per-row
@@ -143,6 +177,65 @@ func TestTapeBitwiseMatchesScalarReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTapeMLP cross-checks the per-row tapes against the scalar reference,
+// bitwise, on fuzzed shapes, activations, weights, inputs and cotangents.
+// Weights and inputs are derived from the fuzz bytes as small dyadic
+// rationals, which keeps them finite and excludes the out-of-contract −0
+// weight case.
+func FuzzTapeMLP(f *testing.F) {
+	f.Add([]byte{2, 3, 1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{4, 1, 2, 2, 200, 100, 0, 0, 0, 50, 25, 12, 255, 254, 253, 1, 2, 3})
+	f.Add([]byte{1, 1, 1, 0, 128})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		next := func(k int) byte { b := data[k%len(data)]; return b }
+		nLayers := 2 + int(next(0))%3 // 2..4 sizes entries
+		sizes := make([]int, nLayers)
+		for i := range sizes {
+			sizes[i] = 1 + int(next(1+i))%8
+		}
+		act := Activation(int(next(nLayers+1)) % 3)
+		rows := 1 + int(next(nLayers+2))%5
+		m, err := NewMLP(sizes, act, 1)
+		if err != nil {
+			t.Skip()
+		}
+		// Overwrite weights/biases from the corpus: v = int8/16, so exact
+		// zeros occur but −0 cannot.
+		k := nLayers + 3
+		fill := func(dst []float64) {
+			for i := range dst {
+				dst[i] = float64(int8(next(k))) / 16
+				k++
+			}
+		}
+		for l := range m.W {
+			fill(m.W[l])
+			fill(m.B[l])
+		}
+		in := sizes[0]
+		outDim := sizes[len(sizes)-1]
+		x := make([]float64, rows*in)
+		fill(x)
+		gOut := make([]float64, rows*outDim)
+		fill(gOut)
+		tapeOut, tapeGrad := perRowReference(m, x, rows, gOut)
+		scalarOut, scalarGrad := scalarReference(m, x, rows, gOut)
+		for i := range tapeOut {
+			if math.Float64bits(tapeOut[i]) != math.Float64bits(scalarOut[i]) {
+				t.Fatalf("sizes %v act %v rows %d: per-row output[%d] %v != scalar %v", sizes, act, rows, i, tapeOut[i], scalarOut[i])
+			}
+		}
+		for i := range tapeGrad {
+			if math.Float64bits(tapeGrad[i]) != math.Float64bits(scalarGrad[i]) {
+				t.Fatalf("sizes %v act %v rows %d: per-row grad[%d] %v != scalar %v", sizes, act, rows, i, tapeGrad[i], scalarGrad[i])
+			}
+		}
+	})
 }
 
 // allegroNet returns the [30,96,96,1] SiLU network of a 3-species,

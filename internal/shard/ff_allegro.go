@@ -24,10 +24,7 @@ const allegroGrain = 16
 //     neighbor row: the atomic energy E_i plus a fixed-width payload
 //     [gD_i | S_i] — the backpropagated descriptor cotangent and the
 //     vector-channel accumulators, exactly the center-atom inputs
-//     allegro.DescriptorSpec.PairGradTerm needs. Under the model's batched
-//     eval modes the MLP half runs as blocked GEMMs over gathered
-//     descriptor rows (allegro.Model.EvalBlock) instead of per-atom tapes;
-//     the float64 batched path is bitwise identical to the per-atom one.
+//     allegro.DescriptorSpec.PairGradTerm needs.
 //   - The engine halo-exchanges the payloads (same three-axis pattern and
 //     ghost slots as positions), so every rank holds the payload of every
 //     atom its owned atoms interact with.
@@ -66,12 +63,7 @@ type AllegroFF struct {
 		aux  []float64
 		base int
 	}
-	phase1Fn, phase2Fn, gatherFn func(lo, hi, w int)
-
-	// Batched-mode scratch: the gathered descriptor block of one
-	// PhaseOneRange call and the blocked-inference state.
-	bdesc []float64
-	be    allegro.BlockEval
+	phase1Fn, phase2Fn func(lo, hi, w int)
 }
 
 type allegroWS struct {
@@ -107,10 +99,8 @@ func (a *AllegroFF) PhaseOne(v *View, aux, partial []float64) {
 }
 
 // PhaseOneRange implements TwoPhaseSplitFF: per-atom inference of owned
-// atoms [lo, hi), filling their aux payloads and eAtom energies. Under the
-// model's batched modes the descriptors are gathered on the pool (the S
-// accumulators land directly in the payload) and the MLPs run as blocked
-// GEMMs; per-atom results are identical either way, so the engine's
+// atoms [lo, hi), filling their aux payloads and eAtom energies. Each
+// atom's results depend only on its own neighbor row, so the engine's
 // split point never shows in the trajectory.
 func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 	if v.Cutoff < a.m.Spec.Cutoff {
@@ -126,15 +116,7 @@ func (a *AllegroFF) PhaseOneRange(v *View, aux []float64, lo, hi int) {
 	a.p1ctx.v = v
 	a.p1ctx.aux = aux
 	a.p1ctx.base = lo
-	if a.m.Mode == allegro.EvalPerAtom {
-		par.For(n, allegroGrain, a.phase1Fn)
-		return
-	}
-	dim := a.m.Spec.Dim()
-	w := a.AuxLen()
-	a.bdesc = resizeF64(a.bdesc, n*dim)
-	par.For(n, allegroGrain, a.gatherFn)
-	a.m.EvalBlock(a.m, v.Type, lo, n, a.bdesc, &a.be, a.eAtom[lo:hi:hi], aux[lo*w:], w)
+	par.For(n, allegroGrain, a.phase1Fn)
 }
 
 // PhaseOneFinish implements TwoPhaseSplitFF: the energy reduction over all
@@ -205,17 +187,6 @@ func (a *AllegroFF) ensureClosures() {
 		for i := base + lo; i < base+hi; i++ {
 			row := aux[i*w : (i+1)*w]
 			a.eAtom[i] = a.m.EvalAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, row[:dim], row[dim:])
-		}
-	}
-	a.gatherFn = func(lo, hi, worker int) {
-		v := a.p1ctx.v
-		aux := a.p1ctx.aux
-		base := a.p1ctx.base
-		ws := a.scratch.Get(worker)
-		for i := base + lo; i < base+hi; i++ {
-			row := aux[i*w : (i+1)*w]
-			r := i - base
-			a.m.GatherAtom(v.Sys, i, v.NL.Row(i), a.cs, &ws.scr, a.bdesc[r*dim:(r+1)*dim], row[dim:])
 		}
 	}
 	a.phase2Fn = func(lo, hi, _ int) {
